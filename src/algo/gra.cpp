@@ -55,20 +55,28 @@ ga::Chromosome primary_chromosome(const core::Problem& problem) {
   return genes;
 }
 
-std::vector<double> chromosome_loads(const core::Problem& problem,
-                                     std::span<const std::uint8_t> genes) {
+double gene_load(const core::Problem& problem,
+                 std::span<const std::uint8_t> genes, core::SiteId site) {
   const std::size_t n = problem.objects();
   if (genes.size() != problem.sites() * n)
+    throw std::invalid_argument("gene_load: length mismatch");
+  if (site >= problem.sites())
+    throw std::out_of_range("gene_load: site out of range");
+  const std::uint8_t* gene = genes.data() + static_cast<std::size_t>(site) * n;
+  double load = 0.0;
+  for (core::ObjectId k = 0; k < n; ++k) {
+    if (gene[k] != 0) load += problem.object_size(k);
+  }
+  return load;
+}
+
+std::vector<double> chromosome_loads(const core::Problem& problem,
+                                     std::span<const std::uint8_t> genes) {
+  if (genes.size() != problem.sites() * problem.objects())
     throw std::invalid_argument("chromosome_loads: length mismatch");
   std::vector<double> loads(problem.sites(), 0.0);
-  for (core::SiteId i = 0; i < problem.sites(); ++i) {
-    double load = 0.0;
-    const std::uint8_t* gene = genes.data() + static_cast<std::size_t>(i) * n;
-    for (core::ObjectId k = 0; k < n; ++k) {
-      if (gene[k] != 0) load += problem.object_size(k);
-    }
-    loads[i] = load;
-  }
+  for (core::SiteId i = 0; i < problem.sites(); ++i)
+    loads[i] = gene_load(problem, genes, i);
   return loads;
 }
 
@@ -317,6 +325,7 @@ GraResult solve_gra(const core::Problem& problem, const GraConfig& config,
                     util::Rng& rng) {
   config.validate();
   if (config.islands > 1) return solve_gra_islands(problem, config, rng, {});
+  util::Stopwatch watch;
   std::vector<ga::Chromosome> initial;
   {
     DREP_SPAN("gra/seed");
@@ -326,7 +335,11 @@ GraResult solve_gra(const core::Problem& problem, const GraConfig& config,
                   : random_population(problem, config.population, rng);
   }
   GraEngine engine(problem, config, rng);
-  return engine.run(std::move(initial));
+  GraResult result = engine.run(std::move(initial));
+  // The reported time covers seeding, as the island driver's does; the
+  // time-limit budget still starts when the engine adopts the population.
+  result.best.elapsed_seconds = watch.seconds();
+  return result;
 }
 
 GraResult evolve_population(const core::Problem& problem,

@@ -162,6 +162,14 @@ struct GraResult {
 /// The primary-copies-only chromosome.
 [[nodiscard]] ga::Chromosome primary_chromosome(const core::Problem& problem);
 
+/// Storage load of one gene (site) of a chromosome: its objects' sizes
+/// summed in object order, so equal genes give bit-identical loads. Throws
+/// std::invalid_argument on a length mismatch, std::out_of_range on a bad
+/// site.
+[[nodiscard]] double gene_load(const core::Problem& problem,
+                               std::span<const std::uint8_t> genes,
+                               core::SiteId site);
+
 /// Per-site storage loads of a chromosome (including primaries).
 [[nodiscard]] std::vector<double> chromosome_loads(
     const core::Problem& problem, std::span<const std::uint8_t> genes);

@@ -23,6 +23,7 @@
 // the decentralized DES driver so the two can never diverge.
 
 #include <algorithm>
+#include <cmath>
 #include <optional>
 #include <stdexcept>
 #include <vector>
@@ -78,7 +79,9 @@ class GraEngine {
       : problem_(problem),
         config_(config),
         rng_(rng),
-        primary_(primary_chromosome(problem)) {
+        primary_(primary_chromosome(problem)),
+        primary_loads_(chromosome_loads(problem, primary_)),
+        exact_loads_(loads_add_exactly(problem)) {
     const std::size_t workers =
         config.parallel_evaluation ? util::ThreadPool::shared().size() : 1;
     evaluators_.reserve(workers);
@@ -102,11 +105,13 @@ class GraEngine {
 
   /// An Individual plus the incremental-evaluation state that backs it: the
   /// per-object costs V_k of the last evaluated genes (empty = never
-  /// evaluated) and the objects whose bits changed since ("touched").
+  /// evaluated), the objects whose bits changed since ("touched"), and the
+  /// per-site storage loads of the genes, which the mutation veto reads.
   struct EvalIndividual {
     Individual ind;
     std::vector<double> v;
     std::vector<core::ObjectId> touched;
+    std::vector<double> loads;
   };
 
   /// Adopts and evaluates the initial population; generation 0 of the
@@ -174,6 +179,19 @@ class GraEngine {
   /// Builds the result from the current state; audits the winner's V_k
   /// cache (per island when used by the island driver).
   GraResult finish() {
+    // Audit (compiled out unless DREP_AUDIT=ON): when loads are carried
+    // exactly, the winner's and every survivor's must match a rescan of
+    // their genes.
+    DREP_AUDIT_BLOCK(if (exact_loads_) {
+      ::drep::audit::Violations found = ::drep::audit::check_site_loads(
+          problem_, best_ever_.ind.genes, best_ever_.loads);
+      for (const EvalIndividual& e : population_) {
+        found = ::drep::audit::merge(
+            std::move(found),
+            ::drep::audit::check_site_loads(problem_, e.ind.genes, e.loads));
+      }
+      ::drep::audit::enforce(std::move(found), "gra/run");
+    });
     double full_equivalents = 0.0;
     for (const auto& evaluator : evaluators_)
       full_equivalents += evaluator.full_equivalents();
@@ -198,6 +216,19 @@ class GraEngine {
   }
 
  private:
+  /// True when per-site loads carried by add/subtract stay bit-identical to
+  /// a fresh object-order row sum (chromosome_loads): every object size is a
+  /// whole number and their total is below 2^53, so every partial sum is an
+  /// exact integer. Generated and tree instances always qualify.
+  static bool loads_add_exactly(const core::Problem& problem) {
+    if (!(problem.total_object_size() < 0x1p53)) return false;
+    for (core::ObjectId k = 0; k < problem.objects(); ++k) {
+      const double size = problem.object_size(k);
+      if (size != std::floor(size)) return false;
+    }
+    return true;
+  }
+
   void step_generation() {
     ++generation_;
     DREP_SPAN("gra/generation");
@@ -238,7 +269,8 @@ class GraEngine {
       }
       if (!chromosome_valid(problem_, genes))
         throw std::invalid_argument("GRA: initial chromosome violates capacity");
-      population.push_back({{std::move(genes), 0.0}, {}, {}});
+      auto loads = chromosome_loads(problem_, genes);
+      population.push_back({{std::move(genes), 0.0}, {}, {}, std::move(loads)});
     }
     return population;
   }
@@ -289,6 +321,7 @@ class GraEngine {
         e.ind.genes = primary_;
         e.ind.fitness = 0.0;
         e.v = primary_v_;
+        e.loads = primary_loads_;
       }
     };
     if (config_.parallel_evaluation && population.size() > 1) {
@@ -323,18 +356,9 @@ class GraEngine {
     const std::size_t gene_begin = gene * n;
     const std::size_t gene_end = gene_begin + n;
     const auto site = static_cast<core::SiteId>(gene);
-    const auto gene_load = [&](const ga::Chromosome& genes) {
-      double load = 0.0;
-      for (std::size_t pos = gene_begin; pos < gene_end; ++pos) {
-        if (genes[pos] != 0)
-          load += problem_.object_size(
-              static_cast<core::ObjectId>(pos - gene_begin));
-      }
-      return load;
-    };
     const double capacity = problem_.capacity(site);
-    const bool invalid =
-        gene_load(a) > capacity || gene_load(b) > capacity;
+    const bool invalid = gene_load(problem_, a, site) > capacity ||
+                         gene_load(problem_, b, site) > capacity;
     if (!invalid) return;
     DREP_COUNT("drep_gra_gene_repairs_total", 1);
     if (config_.crossover == GraConfig::CrossoverKind::kUniform) {
@@ -352,15 +376,33 @@ class GraEngine {
     exchange_uncrossed_portion(a, b, gene_begin, gene_end, cut);
   }
 
-  /// Wraps a freshly produced chromosome as a child of `parent`: the child
-  /// inherits the parent's V_k cache and pending touched set, extended with
-  /// the objects where its genes differ from the parent's.
-  EvalIndividual child_of(ga::Chromosome genes, const EvalIndividual& parent) {
-    EvalIndividual child{{std::move(genes), 0.0}, {}, {}};
+  /// Wraps a crossover child of `parent` and `mate`: the child inherits the
+  /// parent's V_k cache and pending touched set, extended with the objects
+  /// where its genes differ from the parent's. A gene equal to either
+  /// parent's keeps that parent's load (the same sum over the same bits), so
+  /// only genes the crossover cut through are re-summed.
+  EvalIndividual child_of(ga::Chromosome genes, const EvalIndividual& parent,
+                          const EvalIndividual& mate) {
+    const std::size_t n = problem_.objects();
+    std::vector<double> loads(problem_.sites());
+    for (core::SiteId site = 0; site < problem_.sites(); ++site) {
+      const std::size_t begin = static_cast<std::size_t>(site) * n;
+      const std::uint8_t* gene = genes.data() + begin;
+      const auto same_gene = [&](const ga::Chromosome& other) {
+        return std::equal(gene, gene + n, other.data() + begin);
+      };
+      if (same_gene(parent.ind.genes)) {
+        loads[site] = parent.loads[site];
+      } else if (same_gene(mate.ind.genes)) {
+        loads[site] = mate.loads[site];
+      } else {
+        loads[site] = gene_load(problem_, genes, site);
+      }
+    }
+    EvalIndividual child{{std::move(genes), 0.0}, {}, {}, std::move(loads)};
     if (parent.v.empty()) return child;  // no base: full evaluation later
     child.v = parent.v;
     child.touched = parent.touched;
-    const std::size_t n = problem_.objects();
     for (const std::size_t column :
          ga::differing_columns(child.ind.genes, parent.ind.genes, n))
       child.touched.push_back(static_cast<core::ObjectId>(column));
@@ -399,16 +441,23 @@ class GraEngine {
       repair_gene(a, b, parent_a, parent_b, first, cut);
       if (second != first) repair_gene(a, b, parent_a, parent_b, second, cut);
     }
-    out.push_back(child_of(std::move(a), parent_a));
-    out.push_back(child_of(std::move(b), parent_b));
+    out.push_back(child_of(std::move(a), parent_a, parent_b));
+    out.push_back(child_of(std::move(b), parent_b, parent_a));
   }
 
   /// Mutated copy of a parent, with the storage / primary-copy veto. The
-  /// kept flips extend the child's touched set for delta evaluation.
+  /// kept flips extend the child's touched set for delta evaluation and
+  /// update its carried loads (rescanned from the genes first when loads do
+  /// not add exactly).
   EvalIndividual mutated(const EvalIndividual& parent) {
-    EvalIndividual child{{parent.ind.genes, 0.0}, parent.v, parent.touched};
+    EvalIndividual child{
+        {parent.ind.genes, 0.0},
+        parent.v,
+        parent.touched,
+        exact_loads_ ? parent.loads
+                     : chromosome_loads(problem_, parent.ind.genes)};
     const std::size_t n = problem_.objects();
-    auto loads = chromosome_loads(problem_, child.ind.genes);
+    std::vector<double>& loads = child.loads;
     ga::mutate_bits(child.ind.genes, config_.mutation_rate, rng_,
                     [&](std::size_t position, bool now_set) {
                       const auto site = static_cast<core::SiteId>(position / n);
@@ -503,6 +552,8 @@ class GraEngine {
   const GraConfig& config_;
   util::Rng& rng_;
   ga::Chromosome primary_;
+  std::vector<double> primary_loads_;
+  bool exact_loads_;
   std::vector<core::DeltaEvaluator> evaluators_;
   double d_prime_ = 0.0;
   std::vector<double> primary_v_;

@@ -382,6 +382,34 @@ Violations check_object_cost_cache(core::DeltaEvaluator& delta,
   return out;
 }
 
+Violations check_site_loads(const core::Problem& problem,
+                            std::span<const std::uint8_t> matrix,
+                            std::span<const double> loads) {
+  Violations out;
+  const std::size_t m = problem.sites();
+  const std::size_t n = problem.objects();
+  if (matrix.size() != m * n || loads.size() != m) {
+    add(out, "ga.site_loads",
+        "shape: matrix " + std::to_string(matrix.size()) + ", loads " +
+            std::to_string(loads.size()) + " for " + std::to_string(m) +
+            "x" + std::to_string(n));
+    return out;
+  }
+  for (SiteId i = 0; i < m; ++i) {
+    double exact = 0.0;
+    for (ObjectId k = 0; k < n; ++k) {
+      if (matrix[static_cast<std::size_t>(i) * n + k] != 0)
+        exact += problem.object_size(k);
+    }
+    if (loads[i] != exact) {
+      add(out, "ga.site_loads",
+          "carried load of site " + std::to_string(i) + " = " +
+              num(loads[i]) + ", from-scratch = " + num(exact));
+    }
+  }
+  return out;
+}
+
 Violations check_sra_terminal(const core::ReplicationScheme& scheme) {
   Violations out;
   const core::Problem& p = scheme.problem();

@@ -111,6 +111,13 @@ void enforce(Violations violations, const std::string& where);
     core::DeltaEvaluator& delta, std::span<const std::uint8_t> matrix,
     std::span<const double> v);
 
+/// GA load check: the per-site storage loads carried alongside chromosome
+/// `matrix` (row-major M×N) must equal a from-scratch object-order sum of
+/// each row's object sizes, bit for bit.
+[[nodiscard]] Violations check_site_loads(const core::Problem& problem,
+                                          std::span<const std::uint8_t> matrix,
+                                          std::span<const double> loads);
+
 /// SRA candidate-pruning soundness, checked at termination: pruning a
 /// candidate (non-positive benefit, or it no longer fits) is only sound if
 /// the condition can never flip back — benefits are non-increasing and free

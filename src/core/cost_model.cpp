@@ -153,8 +153,7 @@ void CostEvaluator::refresh() {
     v_prime_[k] = p.object_size(k) * prime_requests;
     d_prime_ += v_prime_[k];
   }
-  row_ptrs_.clear();
-  row_ptrs_.reserve(m);
+  best_.assign(m, 0.0);
   replica_buf_.clear();
   replica_buf_.reserve(m);
 }
@@ -210,19 +209,35 @@ double CostEvaluator::object_cost_with_replicas(
   // bit-identical; min over doubles is exact, so restricting the min scan to
   // the sites that matter changes nothing either.
   double read_sum = 0.0;
+  const std::size_t readers = nz_end - nz_begin;
+  const double* values = read_values_.data() + nz_begin;
+  const SiteId* sites = read_sites_.data() + nz_begin;
   if (replicas.size() == 1) {
     // Primary only: the nearest replica of every site is SP_k.
-    for (std::size_t z = nz_begin; z < nz_end; ++z)
-      read_sum += read_values_[z] * sp_row[read_sites_[z]];
+    for (std::size_t z = 0; z < readers; ++z)
+      read_sum += values[z] * sp_row[sites[z]];
   } else {
-    row_ptrs_.clear();
-    for (SiteId rep : replicas) row_ptrs_.push_back(p.costs().row(rep).data());
-    for (std::size_t z = nz_begin; z < nz_end; ++z) {
-      const SiteId i = read_sites_[z];
-      double best = std::numeric_limits<double>::infinity();
-      for (const double* row : row_ptrs_) best = std::min(best, row[i]);
-      read_sum += read_values_[z] * best;
+    // Replica-major: fold each replica's cost row into best[z], reader z's
+    // nearest-replica cost so far. Every best[z] is the same min chain, in
+    // the same replica order, as a per-reader scan would build, and the sum
+    // below keeps reader order, so V_k is bit-identical to that scan. When
+    // every site reads, reader z IS site z and the fold needs no gather.
+    double* best = best_.data();
+    std::fill_n(best, readers, std::numeric_limits<double>::infinity());
+    if (readers == m) {
+      for (SiteId rep : replicas) {
+        const double* row = p.costs().row(rep).data();
+        for (std::size_t z = 0; z < readers; ++z)
+          best[z] = std::min(best[z], row[z]);
+      }
+    } else {
+      for (SiteId rep : replicas) {
+        const double* row = p.costs().row(rep).data();
+        for (std::size_t z = 0; z < readers; ++z)
+          best[z] = std::min(best[z], row[sites[z]]);
+      }
     }
+    for (std::size_t z = 0; z < readers; ++z) read_sum += values[z] * best[z];
   }
 
   double surcharge = 0.0;
@@ -236,7 +251,8 @@ double CostEvaluator::fitness(std::span<const std::uint8_t> matrix) {
   return (d_prime_ - total_cost(matrix)) / d_prime_;
 }
 
-DeltaEvaluator::DeltaEvaluator(const Problem& problem) : eval_(problem) {
+DeltaEvaluator::DeltaEvaluator(const Problem& problem)
+    : eval_(problem), column_(problem.sites()) {
   scratch_replicas_.reserve(problem.sites());
 }
 
@@ -394,14 +410,18 @@ double DeltaEvaluator::object_cost_in_matrix(
   const std::size_t n = p.objects();
   if (k >= n)
     throw std::out_of_range("DeltaEvaluator: object out of range");
+  // Branchless column gather: always write the site id, advance past it
+  // only when the site holds a replica.
   const SiteId sp = p.primary(k);
-  scratch_replicas_.clear();
-  for (SiteId i = 0; i < m; ++i) {
-    if (i == sp || matrix[static_cast<std::size_t>(i) * n + k] != 0)
-      scratch_replicas_.push_back(i);
+  SiteId* column = column_.data();
+  std::size_t count = 0;
+  const std::uint8_t* cell = matrix.data() + k;
+  for (SiteId i = 0; i < m; ++i, cell += n) {
+    column[count] = i;
+    count += static_cast<std::size_t>((*cell != 0) | (i == sp));
   }
   ++objects_recomputed_;
-  return eval_.object_cost_with_replicas(k, scratch_replicas_);
+  return eval_.object_cost_with_replicas(k, {column, count});
 }
 
 double DeltaEvaluator::sum_object_costs(std::span<const double> v) const {

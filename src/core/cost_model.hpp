@@ -110,8 +110,8 @@ class CostEvaluator {
   std::vector<double> base_write_;  // Σ_i w_k(i)·C(i,SP_k), per object
   std::vector<double> v_prime_;
   double d_prime_ = 0.0;
-  std::vector<const double*> row_ptrs_;  // scratch, replica cost rows
-  std::vector<SiteId> replica_buf_;      // scratch
+  std::vector<double> best_;         // scratch, per-reader nearest cost
+  std::vector<SiteId> replica_buf_;  // scratch
 };
 
 /// Incremental (delta) NTC evaluation for the GA hot path.
@@ -217,6 +217,7 @@ class DeltaEvaluator {
   std::vector<double> v_;                      // cached V_k
   double total_ = 0.0;
   std::vector<SiteId> scratch_replicas_;
+  std::vector<SiteId> column_;  // object_cost_in_matrix scratch, length M
   std::size_t objects_recomputed_ = 0;
 };
 

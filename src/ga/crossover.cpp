@@ -72,9 +72,15 @@ std::vector<std::size_t> differing_columns(std::span<const std::uint8_t> a,
     throw std::invalid_argument("differing_columns: length mismatch");
   if (stride == 0)
     throw std::invalid_argument("differing_columns: zero stride");
+  // Row by row: the column is the offset within the row, so no position
+  // needs a modulo and the inner loop is a plain byte-wise compare-and-OR.
   std::vector<std::uint8_t> hit(std::min(stride, a.size()), 0);
-  for (std::size_t pos = 0; pos < a.size(); ++pos) {
-    if (a[pos] != b[pos]) hit[pos % stride] = 1;
+  for (std::size_t row = 0; row < a.size(); row += stride) {
+    const std::size_t width = std::min(stride, a.size() - row);
+    const std::uint8_t* ra = a.data() + row;
+    const std::uint8_t* rb = b.data() + row;
+    for (std::size_t c = 0; c < width; ++c)
+      hit[c] |= static_cast<std::uint8_t>(ra[c] != rb[c]);
   }
   std::vector<std::size_t> columns;
   for (std::size_t c = 0; c < hit.size(); ++c) {

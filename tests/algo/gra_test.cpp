@@ -58,6 +58,21 @@ TEST(ChromosomeLoads, MatchesSchemeAccounting) {
   EXPECT_TRUE(chromosome_valid(p, scheme.matrix()) == scheme.is_valid());
 }
 
+TEST(ChromosomeLoads, GeneLoadIsOneRowAndChecksItsArguments) {
+  const core::Problem p = testing::small_random_problem(2);
+  util::Rng rng(5);
+  ga::Chromosome genes = primary_chromosome(p);
+  for (auto& bit : genes) bit |= rng.bernoulli(0.3) ? 1 : 0;
+  const auto loads = chromosome_loads(p, genes);
+  for (core::SiteId i = 0; i < p.sites(); ++i)
+    EXPECT_EQ(gene_load(p, genes, i), loads[i]);
+  EXPECT_THROW((void)gene_load(p, genes, static_cast<core::SiteId>(p.sites())),
+               std::out_of_range);
+  genes.pop_back();
+  EXPECT_THROW((void)gene_load(p, genes, 0), std::invalid_argument);
+  EXPECT_THROW((void)chromosome_loads(p, genes), std::invalid_argument);
+}
+
 TEST(SraSeededPopulation, AllValidAndDiverse) {
   const core::Problem p = testing::small_random_problem(3);
   util::Rng rng(4);

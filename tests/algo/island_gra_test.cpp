@@ -8,11 +8,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "algo/agra.hpp"
 #include "algo/gra.hpp"
+#include "algo/gra_engine.hpp"
+#include "audit/invariants.hpp"
 #include "testing/builders.hpp"
 
 namespace drep::algo {
@@ -196,6 +200,136 @@ TEST(IslandGra, EvolvePopulationIslandsDeterministic) {
             results[1].best_fitness_history);
   EXPECT_EQ(population_hash(results[0].population),
             population_hash(results[1].population));
+}
+
+// --- Carried site loads ------------------------------------------------------
+//
+// Every individual carries its per-site storage loads, updated by the
+// mutation veto's add/subtract and inherited gene by gene across crossover
+// and migration. On whole-number object sizes they must equal a fresh
+// chromosome_loads rescan of the genes bit for bit, in every generation.
+
+/// Tight capacity, so mutations hit the storage veto and crossovers need
+/// boundary-gene repairs.
+core::Problem tight_problem() {
+  return testing::small_random_problem(29, 10, 24, 5.0, 12.0);
+}
+
+void expect_loads_exact(const core::Problem& problem, const GraEngine& engine,
+                        std::size_t population, const std::string& where) {
+  for (const auto& e : engine.emigrants(population)) {
+    const audit::Violations violations =
+        audit::check_site_loads(problem, e.ind.genes, e.loads);
+    ASSERT_TRUE(violations.empty())
+        << where << ": " << violations.front().detail;
+  }
+}
+
+TEST(GraCarriedLoads, SingleIslandMatchesRescanEveryGeneration) {
+  const core::Problem problem = tight_problem();
+  using Kind = GraConfig::CrossoverKind;
+  using Selection = GraConfig::SelectionScheme;
+  for (const Kind kind :
+       {Kind::kTwoPointRepair, Kind::kOnePoint, Kind::kUniform}) {
+    for (const Selection selection :
+         {Selection::kMuPlusLambdaRemainder, Selection::kSgaRoulette}) {
+      GraConfig config;
+      config.population = 10;
+      config.mutation_rate = 0.05;
+      config.crossover = kind;
+      config.selection = selection;
+      util::Rng rng(31);
+      auto initial = sra_seeded_population(problem, config.population,
+                                           config.perturb_fraction, rng);
+      GraEngine engine(problem, config, rng);
+      engine.init(std::move(initial));
+      const std::string where = "crossover " +
+                                std::to_string(static_cast<int>(kind)) +
+                                ", selection " +
+                                std::to_string(static_cast<int>(selection));
+      expect_loads_exact(problem, engine, config.population, where);
+      for (int generation = 1; generation <= 25; ++generation) {
+        ASSERT_EQ(engine.advance(1), 1u);
+        expect_loads_exact(problem, engine, config.population,
+                           where + ", generation " +
+                               std::to_string(generation));
+      }
+      (void)engine.finish();  // audit-armed builds re-check the survivors
+    }
+  }
+}
+
+TEST(GraCarriedLoads, FourIslandsKeepLoadsAcrossMigration) {
+  const core::Problem problem = tight_problem();
+  GraConfig config = island_config();
+  config.mutation_rate = 0.05;
+  util::Rng rng(37);
+  std::vector<util::Rng> rngs = fork_island_rngs(rng, config.islands);
+  const std::vector<GraConfig> configs = island_plan_configs(config);
+  std::vector<std::unique_ptr<GraEngine>> engines;
+  for (std::size_t i = 0; i < config.islands; ++i) {
+    engines.push_back(
+        std::make_unique<GraEngine>(problem, configs[i], rngs[i]));
+    engines.back()->init(sra_seeded_population(problem, configs[i].population,
+                                               configs[i].perturb_fraction,
+                                               rngs[i]));
+  }
+  for (std::size_t epoch = 1; epoch <= 4; ++epoch) {
+    for (auto& engine : engines)
+      (void)engine->advance(config.migration_interval);
+    std::vector<std::vector<GraEngine::EvalIndividual>> migrants;
+    for (auto& engine : engines)
+      migrants.push_back(engine->emigrants(config.migration_count));
+    for (std::size_t i = 0; i < engines.size(); ++i)
+      engines[(i + 1) % engines.size()]->immigrate(std::move(migrants[i]));
+    for (std::size_t i = 0; i < engines.size(); ++i) {
+      expect_loads_exact(problem, *engines[i], configs[i].population,
+                         "island " + std::to_string(i) + ", epoch " +
+                             std::to_string(epoch));
+    }
+  }
+  for (auto& engine : engines) (void)engine->finish();
+}
+
+TEST(GraCarriedLoads, FractionalSizesStayWithinCapacity) {
+  // Sizes like 0.7 do not add exactly, so the engine rescans each parent's
+  // loads before mutating it instead of carrying them.
+  const std::size_t m = 6;
+  const std::size_t n = 14;
+  net::CostMatrix costs(m);
+  for (core::SiteId i = 0; i < m; ++i) {
+    for (core::SiteId j = static_cast<core::SiteId>(i + 1); j < m; ++j)
+      costs.set(i, j, static_cast<double>(1 + (i * 7 + j * 3) % 5));
+  }
+  std::vector<double> sizes(n);
+  std::vector<core::SiteId> primaries(n);
+  for (core::ObjectId k = 0; k < n; ++k) {
+    sizes[k] = 0.3 + 0.1 * static_cast<double>(k % 7);
+    primaries[k] = static_cast<core::SiteId>(k % m);
+  }
+  // Every load is a multiple of 0.1 up to rounding; a capacity of 3.15
+  // keeps them all clear of the boundary, where seeding's add/subtract
+  // ledger and adopt()'s rescan could disagree by an ulp.
+  core::Problem problem(std::move(costs), sizes, primaries,
+                        std::vector<double>(m, 3.15));
+  util::Rng pattern_rng(43);
+  for (core::SiteId i = 0; i < m; ++i) {
+    for (core::ObjectId k = 0; k < n; ++k) {
+      problem.set_reads(i, k, static_cast<double>(1 + pattern_rng.below(40)));
+      problem.set_writes(i, k, static_cast<double>(pattern_rng.below(3)));
+    }
+  }
+  GraConfig config;
+  config.population = 10;
+  config.generations = 20;
+  config.mutation_rate = 0.1;
+  util::Rng rng(47);
+  const GraResult result = solve_gra(problem, config, rng);
+  for (const Individual& ind : result.population)
+    EXPECT_TRUE(chromosome_valid(problem, ind.genes));
+  util::Rng again(47);
+  EXPECT_EQ(solve_gra(problem, config, again).best.scheme.matrix(),
+            result.best.scheme.matrix());
 }
 
 // Batched AGRA: the parallel micro-GA batch (threads=0/2) must be

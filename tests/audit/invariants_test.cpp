@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "algo/gra.hpp"
 #include "algo/sra.hpp"
 #include "core/availability.hpp"
 #include "core/benefit.hpp"
@@ -170,6 +171,23 @@ TEST(AuditCheckObjectCostCache, CatchesACorruptedEntry) {
       audit::check_object_cost_cache(delta, scheme.matrix(), v);
   ASSERT_FALSE(violations.empty());
   EXPECT_EQ(violations.front().invariant, "ga.v_cache");
+}
+
+TEST(AuditCheckSiteLoads, CatchesADriftedLoad) {
+  const core::Problem problem = testing::small_random_problem(14);
+  const core::ReplicationScheme scheme(problem);
+  std::vector<double> loads = algo::chromosome_loads(problem, scheme.matrix());
+  EXPECT_TRUE(
+      audit::check_site_loads(problem, scheme.matrix(), loads).empty());
+  loads[3] += 1.0;
+  audit::Violations violations =
+      audit::check_site_loads(problem, scheme.matrix(), loads);
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_EQ(violations.front().invariant, "ga.site_loads");
+  loads.pop_back();
+  violations = audit::check_site_loads(problem, scheme.matrix(), loads);
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_EQ(violations.front().invariant, "ga.site_loads");
 }
 
 TEST(AuditCheckSraTerminal, FlagsAMissedBeneficialCandidate) {

@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "testing/builders.hpp"
@@ -250,6 +252,168 @@ TEST(DeltaEvaluator, FitnessMatchesCostEvaluator) {
   delta.rebase(matrix);
   expect_rel_near(full.fitness(matrix), delta.fitness());
   EXPECT_DOUBLE_EQ(full.primary_only_cost(), delta.primary_only_cost());
+}
+
+// --- Brute-force kernel reference -------------------------------------------
+//
+// The per-object kernel is free to reorder its loops for speed, but its
+// result must stay bit-identical to the naive Eq. 4 evaluation below: every
+// site's nearest replica is a plain min over all replicas in site order, the
+// read terms are added over ALL sites in site order (a zero-read site adds
+// exactly +0.0), then the write base, then the per-replica surcharges.
+
+double reference_object_cost(const Problem& p, ObjectId k,
+                             const std::vector<SiteId>& replicas) {
+  const SiteId sp = p.primary(k);
+  double read_sum = 0.0;
+  for (SiteId i = 0; i < p.sites(); ++i) {
+    double best = std::numeric_limits<double>::infinity();
+    for (const SiteId rep : replicas) best = std::min(best, p.cost(rep, i));
+    read_sum += p.reads(i, k) * best;
+  }
+  double base = 0.0;
+  for (SiteId i = 0; i < p.sites(); ++i) base += p.writes(i, k) * p.cost(sp, i);
+  double surcharge = 0.0;
+  for (const SiteId rep : replicas)
+    surcharge += (p.total_writes(k) - p.writes(rep, k)) * p.cost(sp, rep);
+  return p.object_size(k) * (read_sum + base + surcharge);
+}
+
+/// Replica list of object k in `matrix` (primary forced), ascending.
+std::vector<SiteId> column_replicas(const Problem& p,
+                                    const std::vector<std::uint8_t>& matrix,
+                                    ObjectId k) {
+  std::vector<SiteId> replicas;
+  for (SiteId i = 0; i < p.sites(); ++i) {
+    if (i == p.primary(k) ||
+        matrix[static_cast<std::size_t>(i) * p.objects() + k] != 0)
+      replicas.push_back(i);
+  }
+  return replicas;
+}
+
+double reference_total(const Problem& p,
+                       const std::vector<std::uint8_t>& matrix) {
+  double total = 0.0;
+  for (ObjectId k = 0; k < p.objects(); ++k)
+    total += reference_object_cost(p, k, column_replicas(p, matrix, k));
+  return total;
+}
+
+/// A matrix in which object k holds (k + shift) mod M + 1 replicas: the
+/// primary plus randomly chosen other sites. Sweeping shift over 0..M-1
+/// gives every object every replica count from 1 to M.
+std::vector<std::uint8_t> matrix_with_counts(const Problem& p, util::Rng& rng,
+                                             std::size_t shift) {
+  const std::size_t m = p.sites();
+  const std::size_t n = p.objects();
+  std::vector<std::uint8_t> matrix(m * n, 0);
+  std::vector<std::size_t> order(m);
+  for (ObjectId k = 0; k < n; ++k) {
+    const std::size_t count = (k + shift) % m + 1;
+    for (std::size_t i = 0; i < m; ++i) order[i] = i;
+    rng.shuffle(order);
+    matrix[static_cast<std::size_t>(p.primary(k)) * n + k] = 1;
+    std::size_t placed = 1;
+    for (const std::size_t i : order) {
+      if (placed == count) break;
+      if (i == p.primary(k)) continue;
+      matrix[i * n + k] = 1;
+      ++placed;
+    }
+  }
+  return matrix;
+}
+
+/// Checks object_cost_with_replicas, full_cost and delta_cost against the
+/// reference, bit for bit, over every replica count from 1 to M.
+void expect_kernel_matches_reference(const Problem& p, std::uint64_t seed) {
+  util::Rng rng(seed);
+  CostEvaluator full(p);
+  DeltaEvaluator delta(p);
+  const std::size_t n = p.objects();
+  std::vector<double> parent_v(n, 0.0);
+  auto parent = matrix_with_counts(p, rng, 0);
+  (void)delta.full_cost(parent, parent_v);
+  for (std::size_t shift = 0; shift < p.sites(); ++shift) {
+    const auto matrix = matrix_with_counts(p, rng, shift);
+    std::vector<double> v(n, 0.0);
+    const double expected = reference_total(p, matrix);
+    ASSERT_EQ(expected, delta.full_cost(matrix, v)) << "shift " << shift;
+    ASSERT_EQ(expected, full.total_cost(matrix)) << "shift " << shift;
+    std::vector<ObjectId> changed;
+    for (ObjectId k = 0; k < n; ++k) {
+      const auto replicas = column_replicas(p, matrix, k);
+      const double reference = reference_object_cost(p, k, replicas);
+      ASSERT_EQ(reference, v[k]) << "object " << k << " shift " << shift;
+      ASSERT_EQ(reference, full.object_cost_with_replicas(k, replicas))
+          << "object " << k << " replicas " << replicas.size();
+      if (replicas != column_replicas(p, parent, k)) changed.push_back(k);
+    }
+    ASSERT_EQ(expected, delta.delta_cost(matrix, changed, parent_v))
+        << "shift " << shift;
+    parent = matrix;
+  }
+}
+
+TEST(KernelReference, EverySiteReads) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const Problem p = testing::small_random_problem(seed, 3 + 2 * seed, 9);
+    for (SiteId i = 0; i < p.sites(); ++i) {
+      for (ObjectId k = 0; k < p.objects(); ++k)
+        ASSERT_GT(p.reads(i, k), 0.0) << "fixture must read everywhere";
+    }
+    expect_kernel_matches_reference(p, seed * 101);
+  }
+}
+
+TEST(KernelReference, SomeZeroReadSites) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Problem p = testing::small_random_problem(seed + 10, 4 + seed, 10);
+    util::Rng rng(seed);
+    for (SiteId i = 0; i < p.sites(); ++i) {
+      for (ObjectId k = 0; k < p.objects(); ++k) {
+        if (rng.bernoulli(0.4)) p.set_reads(i, k, 0.0);
+      }
+    }
+    expect_kernel_matches_reference(p, seed * 103);
+  }
+}
+
+TEST(KernelReference, WriteOnlyObjects) {
+  Problem p = testing::small_random_problem(31, 8, 12, 20.0);
+  for (ObjectId k = 0; k < p.objects(); k += 2) {
+    for (SiteId i = 0; i < p.sites(); ++i) {
+      p.set_reads(i, k, 0.0);
+      p.set_writes(i, k, static_cast<double>((i + k) % 3));
+    }
+  }
+  expect_kernel_matches_reference(p, 107);
+}
+
+TEST(KernelReference, EqualCostTies) {
+  // Every link costs 1 or 2, so most sites have several equally near
+  // replicas.
+  const std::size_t m = 9;
+  const std::size_t n = 11;
+  util::Rng rng(109);
+  net::CostMatrix costs(m, 1.0);
+  for (SiteId i = 0; i < m; ++i) {
+    for (SiteId j = static_cast<SiteId>(i + 1); j < m; ++j) {
+      if (rng.bernoulli(0.3)) costs.set(i, j, 2.0);
+    }
+  }
+  std::vector<SiteId> primaries(n);
+  for (ObjectId k = 0; k < n; ++k) primaries[k] = static_cast<SiteId>(k % m);
+  Problem p(std::move(costs), std::vector<double>(n, 3.0), primaries,
+            std::vector<double>(m, 100.0));
+  for (SiteId i = 0; i < m; ++i) {
+    for (ObjectId k = 0; k < n; ++k) {
+      p.set_reads(i, k, static_cast<double>(rng.index(5)));
+      p.set_writes(i, k, static_cast<double>(rng.index(2)));
+    }
+  }
+  expect_kernel_matches_reference(p, 113);
 }
 
 TEST(DeltaEvaluator, WorkAccountingCountsObjectKernels) {

@@ -183,6 +183,26 @@ TEST(DgraConformance, CrashRejoinReadmitsElites) {
   EXPECT_TRUE(audit::check_envelope_log(dist.envelope_log).empty());
 }
 
+// Elites migrate with their carried site loads, across lost, retransmitted
+// and re-admitted messages. In audit-armed builds every island's finish()
+// checks its survivors' loads against a rescan of their genes. In every
+// build each final chromosome must fit its sites, which an under-counted
+// carried load would break.
+TEST(DgraConformance, MigratedElitesKeepExactLoads) {
+  const core::Problem problem =
+      testing::small_random_problem(29, 10, 24, 5.0, 12.0);
+  DgraOptions options;
+  options.gra = base_config(4);
+  options.gra.mutation_rate = 0.05;
+  options.faults = sim::FaultPlan::parse("seed=5,drop=0.2,crash=2@0.5..30");
+  util::Rng rng(19);
+  const DgraResult dist = run_decentralized_gra(problem, options, rng);
+  EXPECT_GT(dist.migrations_applied, 0u);
+  for (const algo::Individual& ind : dist.merged.population)
+    EXPECT_TRUE(algo::chromosome_valid(problem, ind.genes));
+  EXPECT_TRUE(audit::check_scheme(dist.merged.best.scheme).empty());
+}
+
 // Faulty runs are as repeatable as healthy ones: same plan, same seed,
 // same bits.
 TEST(DgraConformance, FaultyRunIsDeterministic) {

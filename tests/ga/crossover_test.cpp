@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 namespace drep::ga {
 namespace {
 
@@ -135,6 +138,75 @@ TEST(Uniform, MixesRoughlyHalf) {
   EXPECT_NEAR(static_cast<double>(count_ones(a)), 5000.0, 300.0);
   // Complementarity.
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_NE(a[i], b[i]);
+}
+
+/// Reference for differing_columns: every differing position's column, in
+/// ascending order without duplicates.
+std::vector<std::size_t> naive_differing_columns(const Chromosome& a,
+                                                 const Chromosome& b,
+                                                 std::size_t stride) {
+  std::vector<std::size_t> columns;
+  for (std::size_t pos = 0; pos < a.size(); ++pos) {
+    if (a[pos] != b[pos]) columns.push_back(pos % stride);
+  }
+  std::sort(columns.begin(), columns.end());
+  columns.erase(std::unique(columns.begin(), columns.end()), columns.end());
+  return columns;
+}
+
+TEST(DifferingColumns, EqualInputsHaveNoColumns) {
+  const Chromosome a{1, 0, 1, 1, 0, 0, 1, 0, 1};
+  EXPECT_TRUE(differing_columns(a, a, 3).empty());
+  EXPECT_TRUE(differing_columns(a, a, 1).empty());
+  EXPECT_TRUE(differing_columns(Chromosome{}, Chromosome{}, 4).empty());
+}
+
+TEST(DifferingColumns, OneDifferencePerRow) {
+  // A 4×5 string: row r differs only in column (2r + 1) mod 5.
+  Chromosome a(20, 0), b(20, 0);
+  for (std::size_t row = 0; row < 4; ++row) b[row * 5 + (2 * row + 1) % 5] = 1;
+  EXPECT_EQ(differing_columns(a, b, 5),
+            (std::vector<std::size_t>{0, 1, 2, 3}));
+  // The same column differing in every row is reported once.
+  Chromosome c(20, 0);
+  for (std::size_t row = 0; row < 4; ++row) c[row * 5 + 4] = 1;
+  EXPECT_EQ(differing_columns(a, c, 5), (std::vector<std::size_t>{4}));
+}
+
+TEST(DifferingColumns, LengthNotAMultipleOfTheStride) {
+  // 11 positions over stride 4: the last row holds columns 0..2 only.
+  Chromosome a(11, 0), b(11, 0);
+  b[9] = 1;  // row 2, column 1
+  EXPECT_EQ(differing_columns(a, b, 4), (std::vector<std::size_t>{1}));
+  b[10] = 1;  // row 2, column 2
+  b[3] = 1;   // row 0, column 3
+  EXPECT_EQ(differing_columns(a, b, 4),
+            (std::vector<std::size_t>{1, 2, 3}));
+  // A stride longer than the string: every position is its own column.
+  Chromosome c(3, 0), d{0, 1, 1};
+  EXPECT_EQ(differing_columns(c, d, 7), (std::vector<std::size_t>{1, 2}));
+}
+
+TEST(DifferingColumns, MatchesNaiveReferenceOnRandomStrings) {
+  util::Rng rng(21);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t size = rng.index(60);
+    const std::size_t stride = 1 + rng.index(13);
+    Chromosome a(size), b(size);
+    for (std::size_t i = 0; i < size; ++i) {
+      a[i] = rng.bernoulli(0.5);
+      b[i] = rng.bernoulli(0.1) ? 1 - a[i] : a[i];
+    }
+    EXPECT_EQ(differing_columns(a, b, stride),
+              naive_differing_columns(a, b, stride))
+        << "trial " << trial << " size " << size << " stride " << stride;
+  }
+}
+
+TEST(DifferingColumns, RejectsMismatchedLengthsAndZeroStride) {
+  const Chromosome a(6, 0), b(7, 0);
+  EXPECT_THROW((void)differing_columns(a, b, 3), std::invalid_argument);
+  EXPECT_THROW((void)differing_columns(a, a, 0), std::invalid_argument);
 }
 
 TEST(Crossover, Validation) {
