@@ -13,6 +13,12 @@
 // A fourth case drives distributed SRA under loss — the protocol-heavy
 // path (token grants, fetch/announce ladders) rather than the
 // data-plane-heavy replay.
+//
+// Two more rows time the event queue's two extremes on a perfect network.
+// BM_ReplayBurst injects the whole trace at t=0, so nearly every event
+// joins a pending timestamp. BM_ReplayDistinctTimes spaces requests by a
+// non-integral inter-arrival, so almost no two events share a timestamp
+// and every event is a run of its own: the queue's slowest shape.
 #include <benchmark/benchmark.h>
 
 #include "algo/sra.hpp"
@@ -77,6 +83,30 @@ void BM_ReplayLossy(benchmark::State& state) {
   state.SetLabel("10% drop, 5% spikes, one crash window");
 }
 BENCHMARK(BM_ReplayLossy)->Unit(benchmark::kMicrosecond);
+
+void BM_ReplayBurst(benchmark::State& state) {
+  const core::Problem problem = bench_problem();
+  const core::ReplicationScheme scheme = algo::solve_sra(problem).scheme;
+  util::Rng trng(7);
+  const auto trace = workload::build_trace(problem, trng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sim::replay_trace(scheme, trace, 1.0, 0.0));
+  }
+  state.SetLabel("inter_arrival=0: the whole trace at t=0");
+}
+BENCHMARK(BM_ReplayBurst)->Unit(benchmark::kMicrosecond);
+
+void BM_ReplayDistinctTimes(benchmark::State& state) {
+  const core::Problem problem = bench_problem();
+  const core::ReplicationScheme scheme = algo::solve_sra(problem).scheme;
+  util::Rng trng(7);
+  const auto trace = workload::build_trace(problem, trng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sim::replay_trace(scheme, trace, 1.0, 0.0137));
+  }
+  state.SetLabel("inter_arrival=0.0137: almost no repeated timestamps");
+}
+BENCHMARK(BM_ReplayDistinctTimes)->Unit(benchmark::kMicrosecond);
 
 void BM_DistributedSraLossy(benchmark::State& state) {
   const core::Problem problem = bench_problem();

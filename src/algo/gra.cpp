@@ -82,9 +82,16 @@ std::vector<double> chromosome_loads(const core::Problem& problem,
 
 bool chromosome_valid(const core::Problem& problem,
                       std::span<const std::uint8_t> genes) {
+  // ReplicationScheme::is_valid's policy: a load within capacity_slack(i)
+  // of the capacity fits. SRA admits replicas through that slack, and its
+  // incremental ledger can sum to a few ulps more than this object-order
+  // sum, so a strict test would reject SRA's own seeds on fractional sizes.
   const auto loads = chromosome_loads(problem, genes);
   for (core::SiteId i = 0; i < problem.sites(); ++i) {
-    if (loads[i] > problem.capacity(i)) return false;
+    const double capacity = problem.capacity(i);
+    const double slack = core::ReplicationScheme::kCapacityRelEps *
+                         (1.0 + capacity + problem.total_object_size());
+    if (loads[i] > capacity + slack) return false;
   }
   return true;
 }

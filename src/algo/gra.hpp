@@ -174,7 +174,8 @@ struct GraResult {
 [[nodiscard]] std::vector<double> chromosome_loads(
     const core::Problem& problem, std::span<const std::uint8_t> genes);
 
-/// True when every gene (site) of the chromosome fits its capacity.
+/// True when every gene (site) of the chromosome fits its capacity, within
+/// the same slack as ReplicationScheme::is_valid.
 [[nodiscard]] bool chromosome_valid(const core::Problem& problem,
                                     std::span<const std::uint8_t> genes);
 

@@ -417,11 +417,13 @@ ReplayResult replay_trace(const core::ReplicationScheme& scheme,
     network.attach(i, *nodes.back());
   }
 
+  // Capturing the trace entry by address keeps the closure within
+  // std::function's inline buffer: no allocation per injected request.
   for (std::size_t idx = 0; idx < trace.size(); ++idx) {
-    const workload::Request request = trace[idx];
+    const workload::Request* request = &trace[idx];
     network.queue().schedule(
         options.inter_arrival * static_cast<double>(idx),
-        [&nodes, request] { nodes[request.site]->issue(request); });
+        [&nodes, request] { nodes[request->site]->issue(*request); });
   }
   network.run();
   result.traffic = network.stats();
@@ -450,32 +452,32 @@ ReplayResult replay_trace_online(core::ReplicationScheme& scheme,
     network.attach(i, *nodes.back());
   }
 
+  // The policy runs at injection time, before the request reaches its
+  // node, so the node already sees the post-decision scheme (see the
+  // ReplayPolicy contract in the header).
+  const auto inject = [&](const workload::Request* request) {
+    const auto idx = static_cast<std::size_t>(request - trace.data());
+    for (const SchemeChange& change :
+         policy.on_request(idx, *request, scheme)) {
+      if (change.evict) {
+        ++result.online_evictions;
+        DREP_COUNT("drep_replay_online_evictions_total", 1);
+        continue;
+      }
+      ++result.online_migrations;
+      result.migration_traffic +=
+          change.shipped_units * problem.cost(change.source, change.site);
+      DREP_COUNT("drep_replay_online_migrations_total", 1);
+      network.send(change.source, change.site, change.shipped_units,
+                   MigrationShip{change.object});
+    }
+    nodes[request->site]->issue(*request);
+  };
+  // Two pointers fit std::function's inline buffer, as in replay_trace.
   for (std::size_t idx = 0; idx < trace.size(); ++idx) {
-    const workload::Request request = trace[idx];
-    // The policy runs at injection time, before the request reaches its
-    // node, so the node already sees the post-decision scheme (see the
-    // ReplayPolicy contract in the header).
-    network.queue().schedule(
-        options.inter_arrival * static_cast<double>(idx),
-        [&scheme, &network, &nodes, &result, &policy, &problem, idx,
-         request] {
-          for (const SchemeChange& change :
-               policy.on_request(idx, request, scheme)) {
-            if (change.evict) {
-              ++result.online_evictions;
-              DREP_COUNT("drep_replay_online_evictions_total", 1);
-              continue;
-            }
-            ++result.online_migrations;
-            result.migration_traffic +=
-                change.shipped_units *
-                problem.cost(change.source, change.site);
-            DREP_COUNT("drep_replay_online_migrations_total", 1);
-            network.send(change.source, change.site, change.shipped_units,
-                         MigrationShip{change.object});
-          }
-          nodes[request.site]->issue(request);
-        });
+    const workload::Request* request = &trace[idx];
+    network.queue().schedule(options.inter_arrival * static_cast<double>(idx),
+                             [&inject, request] { inject(request); });
   }
   network.run();
   result.traffic = network.stats();

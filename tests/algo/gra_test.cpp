@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "algo/sra.hpp"
 #include "core/cost_model.hpp"
 #include "testing/builders.hpp"
@@ -90,6 +92,52 @@ TEST(SraSeededPopulation, AllValidAndDiverse) {
   for (std::size_t i = 1; i < population.size() && !any_diff; ++i)
     any_diff = population[i] != population[0];
   EXPECT_TRUE(any_diff);
+}
+
+// 6 sites x 14 objects with fractional sizes 0.3 + 0.1·(k mod 7) and every
+// capacity 3.1, over a seeded random instance's costs, primaries and
+// requests. SRA fills sites through ReplicationScheme's capacity slack, and
+// chromosome_loads' object-order sum of such a site comes to 3.1 + 1 ulp.
+core::Problem fractional_size_problem() {
+  const core::Problem base = testing::small_random_problem(2, 6, 14);
+  std::vector<double> sizes;
+  std::vector<core::SiteId> primaries;
+  for (core::ObjectId k = 0; k < base.objects(); ++k) {
+    sizes.push_back(0.3 + 0.1 * static_cast<double>(k % 7));
+    primaries.push_back(base.primary(k));
+  }
+  core::Problem p(base.costs(), std::move(sizes), std::move(primaries),
+                  std::vector<double>(base.sites(), 3.1));
+  for (core::SiteId i = 0; i < p.sites(); ++i) {
+    for (core::ObjectId k = 0; k < p.objects(); ++k) {
+      p.set_reads(i, k, base.reads(i, k));
+      p.set_writes(i, k, base.writes(i, k));
+    }
+  }
+  p.validate();
+  return p;
+}
+
+TEST(SraSeededPopulation, FractionalSizesPassTheSchemeCapacityPolicy) {
+  // Regression: chromosome_valid compared loads to capacity with no slack,
+  // so GRA rejected SRA's own seeds ("initial chromosome violates
+  // capacity") on this instance.
+  const core::Problem p = fractional_size_problem();
+  util::Rng rng(102);
+  const auto population = sra_seeded_population(p, 5, 0.0, rng);
+  bool strictly_over = false;
+  for (const auto& genes : population) {
+    EXPECT_TRUE(chromosome_valid(p, genes));
+    EXPECT_TRUE(core::ReplicationScheme(p, genes).is_valid());
+    const auto loads = chromosome_loads(p, genes);
+    for (core::SiteId i = 0; i < p.sites(); ++i)
+      strictly_over = strictly_over || loads[i] > p.capacity(i);
+  }
+  EXPECT_TRUE(strictly_over) << "the instance no longer reaches the boundary";
+
+  util::Rng solve_rng(9);
+  const GraResult result = solve_gra(p, fast_config(), solve_rng);  // threw
+  EXPECT_TRUE(result.best.scheme.is_valid());
 }
 
 TEST(RandomPopulation, ValidWithPrimaries) {

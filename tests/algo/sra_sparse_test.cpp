@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "algo/sra.hpp"
 #include "audit/invariants.hpp"
 #include "core/sparse_scheme.hpp"
@@ -21,6 +23,16 @@ struct Case {
   std::uint64_t seed;
   SraConfig::SiteOrder order;
 };
+
+/// Names the case, e.g. seed61_RoundRobin. gtest_discover_tests builds the
+/// ctest name from the printed parameter, and gtest's fallback printer dumps
+/// the struct's bytes, padding included, so the names changed between
+/// builds.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << "seed" << c.seed
+      << (c.order == SraConfig::SiteOrder::kRoundRobin ? "_RoundRobin"
+                                                       : "_Random");
+}
 
 class SparseSraDifferential : public ::testing::TestWithParam<Case> {};
 

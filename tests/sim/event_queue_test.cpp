@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
+#include <functional>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -140,6 +143,204 @@ TEST(EventQueue, PropertyFifoPerTimestampUnderRandomizedScheduling) {
                      });
     EXPECT_EQ(executed, expected) << "seed " << seed;
   }
+}
+
+// --- differential suite ------------------------------------------------
+//
+// Every schedule() call is logged with its time; the log index is the seq
+// the queue hands out. The reference pop order is a stable sort of the log
+// by time alone, i.e. the documented (time, seq) key, computed without any
+// queue. The queue coalesces equal-time events into runs behind a
+// 4096-entry open-run table, so the schedules below aim at the cases where
+// that representation could go wrong: heavy ties, more distinct pending
+// times than table entries (collisions seal runs, so one time holds several
+// runs), events scheduled at now() from the last event of a run, handlers
+// scheduling into older times that are still pending, and -0.0 next to 0.0.
+class Differential {
+ public:
+  /// Schedules an event that logs itself and then runs `then`, if any.
+  void add(double at, std::function<void()> then = {}) {
+    const std::size_t id = times_.size();
+    times_.push_back(at);
+    queue.schedule(at, [this, id, then = std::move(then)] {
+      executed_.push_back(id);
+      if (then) then();
+    });
+  }
+
+  /// Runs the queue dry and checks its pop order against the reference.
+  void check(const std::string& what) {
+    queue.run();
+    EXPECT_EQ(queue.pending(), 0u) << what;
+    EXPECT_EQ(queue.processed(), times_.size()) << what;
+    std::vector<std::size_t> expected(times_.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) expected[i] = i;
+    std::stable_sort(expected.begin(), expected.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return times_[a] < times_[b];
+                     });
+    ASSERT_EQ(executed_.size(), expected.size()) << what;
+    const auto mismatch =
+        std::mismatch(executed_.begin(), executed_.end(), expected.begin());
+    EXPECT_TRUE(mismatch.first == executed_.end())
+        << what << ": first divergence at pop "
+        << (mismatch.first - executed_.begin()) << " (ran event "
+        << *mismatch.first << " at t=" << times_[*mismatch.first]
+        << ", expected event " << *mismatch.second << " at t="
+        << times_[*mismatch.second] << ")";
+  }
+
+  EventQueue queue;
+
+ private:
+  std::vector<double> times_;
+  std::vector<std::size_t> executed_;
+};
+
+/// One seeded random schedule. `palette` holds the candidate timestamps;
+/// `initial` events go in up front and up to `budget` more are scheduled
+/// from running handlers: at now(), at a palette time that may already be
+/// pending (clamped to now()), or a palette step past now().
+void random_schedule(std::uint64_t seed, const std::vector<double>& palette,
+                     std::size_t initial, std::size_t budget) {
+  util::Rng rng(seed);
+  Differential diff;
+  const auto pick = [&] { return palette[rng.index(palette.size())]; };
+  std::function<void()> cascade = [&] {
+    for (int child = 0; child < 2 && budget > 0; ++child) {
+      const double now = diff.queue.now();
+      switch (rng.index(4)) {
+        case 0:
+          --budget;
+          diff.add(now, cascade);
+          break;
+        case 1:
+          --budget;
+          diff.add(std::max(now, pick()), cascade);
+          break;
+        case 2:
+          --budget;
+          diff.add(now + palette[rng.index(std::min<std::size_t>(
+                             palette.size(), 8))],
+                   cascade);
+          break;
+        default:
+          break;
+      }
+    }
+  };
+  for (std::size_t i = 0; i < initial; ++i) {
+    if (rng.bernoulli(0.3))
+      diff.add(pick(), cascade);
+    else
+      diff.add(pick());
+  }
+  diff.check("seed " + std::to_string(seed));
+}
+
+TEST(EventQueueDifferential, HeavyTies) {
+  // Five timestamps, -0.0 among them: nearly every event joins a pending
+  // run, and handlers keep appending to the run being drained.
+  const std::vector<double> palette{-0.0, 0.0, 1.0, 2.5, 4.0};
+  for (std::uint64_t seed = 1; seed <= 30; ++seed)
+    random_schedule(seed, palette, 200, 400);
+}
+
+TEST(EventQueueDifferential, MoreDistinctTimesThanOpenRunTable) {
+  // 9000 distinct timestamps against a 4096-entry table: collisions seal
+  // runs, the same time then opens new runs, and handlers append to times
+  // whose older runs are sealed but still pending.
+  std::vector<double> palette(9000);
+  for (std::size_t i = 0; i < palette.size(); ++i)
+    palette[i] = 0.37 * static_cast<double>(i % 97) +
+                 0.001 * static_cast<double>(i / 97);
+  for (std::uint64_t seed = 1; seed <= 6; ++seed)
+    random_schedule(seed, palette, 20000, 20000);
+}
+
+TEST(EventQueueDifferential, AllDistinctTimes) {
+  // No two events share a time: every event is a run of its own.
+  std::vector<double> palette(5000);
+  for (std::size_t i = 0; i < palette.size(); ++i)
+    palette[i] = 0.0137 * static_cast<double>(i + 1);
+  Differential diff;
+  util::Rng rng(3);
+  rng.shuffle(palette);
+  for (const double at : palette) diff.add(at);
+  diff.check("all distinct");
+}
+
+TEST(EventQueueDifferential, TimeOrderedInjectionsWithMessages) {
+  // The replay pattern: requests injected in time order at a non-integral
+  // spacing (runs opened in time order skip the heap), each sending
+  // messages a few latency steps ahead that may answer in turn.
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    util::Rng rng(seed);
+    Differential diff;
+    const double latencies[] = {0.0, 1.0, 2.0, 3.0, 5.0};
+    std::function<void()> message = [&] {
+      if (rng.bernoulli(0.4))
+        diff.add(diff.queue.now() + latencies[rng.index(5)], message);
+    };
+    for (int idx = 0; idx < 12000; ++idx) {
+      diff.add(0.0137 * idx, [&] {
+        for (std::size_t m = rng.index(3); m > 0; --m)
+          diff.add(diff.queue.now() + latencies[rng.index(5)], message);
+      });
+    }
+    diff.check("seed " + std::to_string(seed));
+  }
+}
+
+TEST(EventQueueDifferential, SameTimeAcrossSealedRunsThenNow) {
+  // Several runs at t=1, each sealed by a sweep of 40000 other timestamps,
+  // ten per table entry. The last event of the first run then schedules at
+  // now(): that event must run after every pending t=1 event of the later
+  // runs, not join the run being drained.
+  Differential diff;
+  const auto sweep = [&](double base) {
+    for (int i = 1; i <= 40000; ++i)
+      diff.add(base + 1e-5 * static_cast<double>(i));
+  };
+  diff.add(0.5);  // keeps the t=1 runs off the heap front while they form
+  diff.add(1.0);
+  diff.add(1.0, [&] {
+    diff.add(diff.queue.now());
+    diff.add(diff.queue.now(), [&] { diff.add(diff.queue.now()); });
+  });
+  sweep(2.0);
+  diff.add(1.0);
+  sweep(3.0);
+  diff.add(1.0, [&] { diff.add(diff.queue.now()); });
+  diff.add(1.0);
+  sweep(4.0);
+  diff.add(1.0);
+  sweep(5.0);
+  diff.check("sealed runs at t=1");
+}
+
+TEST(EventQueueDifferential, LastEventOfARunSchedulesAtNow) {
+  // The run at t=2 retires before its last handler runs; what that handler
+  // schedules at now() opens a fresh run and still runs at t=2, after it.
+  Differential diff;
+  diff.add(2.0);
+  diff.add(2.0, [&] {
+    diff.add(diff.queue.now(), [&] { diff.add(diff.queue.now()); });
+    diff.add(3.0);
+  });
+  diff.add(3.0);
+  diff.check("reentry at now()");
+}
+
+TEST(EventQueueDifferential, NegativeZeroIsZero) {
+  // -0.0 == 0.0, so the two are one timestamp and FIFO between them.
+  Differential diff;
+  diff.add(0.0);
+  diff.add(-0.0);
+  diff.add(0.0);
+  diff.add(-0.0, [&] { diff.add(-0.0); });
+  diff.check("signed zeros");
+  EXPECT_FALSE(std::signbit(diff.queue.now()));
 }
 
 TEST(EventQueue, PendingCount) {
