@@ -22,7 +22,6 @@
 // via online::register_online_solver() (called by the CLI and the tools),
 // because its adapter lives above sim in the module layering.
 
-#include <any>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -93,8 +92,6 @@ struct SolverOptions {
 /// decentralized driver fills it per site:
 ///
 ///   clock     simulated-time source (DES clock); unset = wall clock only
-///   send      message-transport hook (site, size_units, payload) routed
-///             through the driver's DesNetwork; unset = no transport
 ///   locality  the site whose local view this solve represents; unset =
 ///             global (centralized) scope
 ///
@@ -102,12 +99,10 @@ struct SolverOptions {
 /// context produces the same scheme as one without (the decentralized
 /// equivalence argument in DESIGN.md §15 rests on this). They annotate
 /// `details` ("locality", "sim_time") so reports distinguish the scopes.
-/// Type-erased (std::any payloads, std::function hooks) so algo stays
-/// below sim in the module layering.
+/// The clock is a std::function so algo stays below sim in the module
+/// layering.
 struct ExecutionContext {
   std::function<double()> clock{};
-  std::function<void(core::SiteId site, double size_units, std::any payload)>
-      send{};
   std::optional<core::SiteId> locality{};
 
   /// True when this solve represents one site's local view.

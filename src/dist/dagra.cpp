@@ -229,10 +229,6 @@ class DriftNode final : public sim::Node {
                                        options_.retained_population, changed_};
     request.context.locality = self_;
     request.context.clock = [this] { return network_.queue().now(); };
-    request.context.send = [this](core::SiteId to, double size_units,
-                                  std::any payload) {
-      network_.send(self_, to, size_units, std::move(payload));
-    };
     const algo::SolveResponse response =
         algo::solver_registry().at("agra").solve(request);
     const ga::Chromosome& genes = response.result.scheme.matrix();

@@ -5,6 +5,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <variant>
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -15,44 +16,45 @@ namespace {
 
 using core::ObjectId;
 
-// Protocol payloads. Ids are 0 on a perfect network (no retries, nothing to
-// correlate) and unique per exchange under a fault plan.
-struct ReadRequest {
-  ObjectId object;
-  std::uint64_t id;
-};
-struct ReadResponse {
-  ObjectId object;
-  std::uint64_t id;
-};
-struct WriteShip {
-  ObjectId object;
-  SiteId writer;
-  std::uint64_t id;
-};
-struct WriteAck {
-  std::uint64_t id;
-};
-struct UpdateBroadcast {
-  ObjectId object;
-  std::uint64_t id;
-};
-struct UpdateAck {
-  std::uint64_t id;
-};
-/// Replica-creation shipment of the online replay (source replica -> new
-/// replicator). Pure data transfer: ReplicaNode::handle ignores it.
-struct MigrationShip {
-  ObjectId object;
-};
-
 /// Retry-layer context shared by all nodes of one replay.
 struct ReplayContext {
   RetryPolicy policy;
   double base = 0.0;
   ReplayResult* result = nullptr;
   std::uint64_t next_id = 1;
+  /// Tallies of the drep_replay_* counters that no ReplayResult field
+  /// holds: a request lost to a crash is a failed read or write, but it
+  /// was never counted as a failed request or a stale update.
+  std::size_t failed_requests = 0;
+  std::size_t stale_updates = 0;
 };
+
+/// Adds the totals of one completed replay of `requests` requests to the
+/// drep_replay_* counters, once per replay instead of one atomic add per
+/// event. A counter is touched only when its total is non-zero, as the
+/// per-event counting did.
+void publish_counters(const ReplayContext& ctx, std::size_t requests) {
+  const ReplayResult& result = *ctx.result;
+  if (requests != 0) DREP_COUNT("drep_replay_requests_total", requests);
+  if (result.local_reads != 0)
+    DREP_COUNT("drep_replay_local_reads_total", result.local_reads);
+  if (result.remote_reads != 0)
+    DREP_COUNT("drep_replay_remote_reads_total", result.remote_reads);
+  if (result.degraded_reads != 0)
+    DREP_COUNT("drep_replay_degraded_reads_total", result.degraded_reads);
+  if (result.writes != 0)
+    DREP_COUNT("drep_replay_writes_total", result.writes);
+  if (ctx.failed_requests != 0)
+    DREP_COUNT("drep_replay_failed_requests_total", ctx.failed_requests);
+  if (ctx.stale_updates != 0)
+    DREP_COUNT("drep_replay_stale_updates_total", ctx.stale_updates);
+  if (result.online_evictions != 0)
+    DREP_COUNT("drep_replay_online_evictions_total", result.online_evictions);
+  if (result.online_migrations != 0) {
+    DREP_COUNT("drep_replay_online_migrations_total",
+               result.online_migrations);
+  }
+}
 
 /// One protocol endpoint per site. All sites share the scheme (the paper's
 /// two-field (SP_k, SN_k) record per object is exactly what
@@ -68,7 +70,6 @@ class ReplicaNode final : public Node {
         latency_per_cost_(latency_per_cost) {}
 
   void issue(const workload::Request& request) {
-    DREP_COUNT("drep_replay_requests_total", 1);
     if (armed()) {
       issue_faulty(request);
       return;
@@ -80,7 +81,6 @@ class ReplicaNode final : public Node {
       if (nearest == self_) {
         ++result.local_reads;  // served locally, no traffic
         result.read_latency.add(0.0);
-        DREP_COUNT("drep_replay_local_reads_total", 1);
         DREP_OBSERVE("drep_replay_read_latency", obs::latency_buckets(), 0.0);
         return;
       }
@@ -89,14 +89,12 @@ class ReplicaNode final : public Node {
       const double latency =
           2.0 * latency_per_cost_ * problem.cost(self_, nearest);
       result.read_latency.add(latency);
-      DREP_COUNT("drep_replay_remote_reads_total", 1);
       DREP_OBSERVE("drep_replay_read_latency", obs::latency_buckets(),
                    latency);
       network_->send(self_, nearest, 0.0, ReadRequest{request.object, 0});
       return;
     }
     ++result.writes;
-    DREP_COUNT("drep_replay_writes_total", 1);
     const SiteId primary = problem.primary(request.object);
     record_write_latency(request.object, primary);
     if (primary == self_) {
@@ -108,26 +106,8 @@ class ReplicaNode final : public Node {
   }
 
   void handle(const Message& message) override {
-    const core::Problem& problem = scheme_->problem();
-    if (const auto* read = std::any_cast<ReadRequest>(&message.payload)) {
-      network_->send(self_, message.from, problem.object_size(read->object),
-                     ReadResponse{read->object, read->id});
-    } else if (const auto* resp =
-                   std::any_cast<ReadResponse>(&message.payload)) {
-      if (armed()) on_read_response(*resp);
-    } else if (const auto* ship = std::any_cast<WriteShip>(&message.payload)) {
-      on_write_ship(*ship);
-    } else if (const auto* ack = std::any_cast<WriteAck>(&message.payload)) {
-      on_write_ack(*ack);
-    } else if (const auto* update =
-                   std::any_cast<UpdateBroadcast>(&message.payload)) {
-      // Applying the same version twice is idempotent; just ack.
-      if (armed()) network_->send(self_, message.from, 0.0,
-                                  UpdateAck{update->id});
-    } else if (const auto* uack =
-                   std::any_cast<UpdateAck>(&message.payload)) {
-      on_update_ack(*uack);
-    }
+    std::visit([&](const auto& payload) { receive(message.from, payload); },
+               message.payload);
   }
 
   /// A crash loses every in-flight exchange at this site: pending reads and
@@ -153,6 +133,26 @@ class ReplicaNode final : public Node {
   };
 
   [[nodiscard]] bool armed() const { return network_->faults_armed(); }
+
+  // --- receive side, one overload per payload -------------------------------
+
+  void receive(SiteId from, const ReadRequest& read) {
+    network_->send(self_, from, scheme_->problem().object_size(read.object),
+                   ReadResponse{read.object, read.id});
+  }
+  void receive(SiteId, const ReadResponse& resp) {
+    if (armed()) on_read_response(resp);
+  }
+  void receive(SiteId, const WriteShip& ship) { on_write_ship(ship); }
+  void receive(SiteId, const WriteAck& ack) { on_write_ack(ack); }
+  void receive(SiteId from, const UpdateBroadcast& update) {
+    // Applying the same version twice is idempotent; just ack.
+    if (armed()) network_->send(self_, from, 0.0, UpdateAck{update.id});
+  }
+  void receive(SiteId, const UpdateAck& ack) { on_update_ack(ack); }
+  /// Migration shipments are pure traffic; envelopes are not replay traffic.
+  void receive(SiteId, const MigrationShip&) {}
+  void receive(SiteId, const Envelope&) {}
 
   void arm_timer(std::size_t attempt, std::function<void()> handler) {
     network_->queue().schedule_in(
@@ -184,7 +184,7 @@ class ReplicaNode final : public Node {
     if (!network_->site_up(self_)) {
       // A crashed site serves nobody.
       ++(request.is_write ? result.failed_writes : result.failed_reads);
-      DREP_COUNT("drep_replay_failed_requests_total", 1);
+      ++ctx_->failed_requests;
       return;
     }
     if (!request.is_write) {
@@ -192,22 +192,17 @@ class ReplicaNode final : public Node {
       if (nearest == self_) {
         ++result.local_reads;
         result.read_latency.add(0.0);
-        DREP_COUNT("drep_replay_local_reads_total", 1);
         DREP_OBSERVE("drep_replay_read_latency", obs::latency_buckets(), 0.0);
         return;
       }
       const std::optional<SiteId> target = live_read_target(request.object);
       if (!target) {
         ++result.failed_reads;  // every replicator is down
-        DREP_COUNT("drep_replay_failed_requests_total", 1);
+        ++ctx_->failed_requests;
         return;
       }
-      if (*target != nearest) {
-        ++result.degraded_reads;
-        DREP_COUNT("drep_replay_degraded_reads_total", 1);
-      }
+      if (*target != nearest) ++result.degraded_reads;
       ++result.remote_reads;
-      DREP_COUNT("drep_replay_remote_reads_total", 1);
       const std::uint64_t id = ctx_->next_id++;
       pending_reads_.emplace(id,
                              PendingRead{request.object,
@@ -216,7 +211,6 @@ class ReplicaNode final : public Node {
       return;
     }
     ++result.writes;
-    DREP_COUNT("drep_replay_writes_total", 1);
     const SiteId primary = problem.primary(request.object);
     if (primary == self_) {
       record_write_latency(request.object, primary);
@@ -225,7 +219,7 @@ class ReplicaNode final : public Node {
     }
     if (!network_->site_up(primary)) {
       ++result.failed_writes;  // nowhere to commit the new version
-      DREP_COUNT("drep_replay_failed_requests_total", 1);
+      ++ctx_->failed_requests;
       return;
     }
     record_write_latency(request.object, primary);
@@ -266,7 +260,7 @@ class ReplicaNode final : public Node {
       if (attempt >= ctx_->policy.max_retries) {
         ++ctx_->result->retry_stats.give_ups;
         ++ctx_->result->failed_reads;
-        DREP_COUNT("drep_replay_failed_requests_total", 1);
+        ++ctx_->failed_requests;
         pending_reads_.erase(it);
         return;
       }
@@ -300,7 +294,7 @@ class ReplicaNode final : public Node {
       if (attempt >= ctx_->policy.max_retries) {
         ++ctx_->result->retry_stats.give_ups;
         ++ctx_->result->failed_writes;
-        DREP_COUNT("drep_replay_failed_requests_total", 1);
+        ++ctx_->failed_requests;
         pending_ships_.erase(it);
         return;
       }
@@ -360,7 +354,7 @@ class ReplicaNode final : public Node {
       if (attempt >= ctx_->policy.max_retries) {
         ++ctx_->result->retry_stats.give_ups;
         ++ctx_->result->stale_replica_updates;
-        DREP_COUNT("drep_replay_stale_updates_total", 1);
+        ++ctx_->stale_updates;
         pending_legs_.erase(leg);
         return;
       }
@@ -426,6 +420,7 @@ ReplayResult replay_trace(const core::ReplicationScheme& scheme,
         [&nodes, request] { nodes[request->site]->issue(*request); });
   }
   network.run();
+  publish_counters(ctx, trace.size());
   result.traffic = network.stats();
   result.duration = network.queue().now();
   return result;
@@ -461,13 +456,11 @@ ReplayResult replay_trace_online(core::ReplicationScheme& scheme,
          policy.on_request(idx, *request, scheme)) {
       if (change.evict) {
         ++result.online_evictions;
-        DREP_COUNT("drep_replay_online_evictions_total", 1);
         continue;
       }
       ++result.online_migrations;
       result.migration_traffic +=
           change.shipped_units * problem.cost(change.source, change.site);
-      DREP_COUNT("drep_replay_online_migrations_total", 1);
       network.send(change.source, change.site, change.shipped_units,
                    MigrationShip{change.object});
     }
@@ -480,6 +473,7 @@ ReplayResult replay_trace_online(core::ReplicationScheme& scheme,
                              [&inject, request] { inject(request); });
   }
   network.run();
+  publish_counters(ctx, trace.size());
   result.traffic = network.stats();
   result.duration = network.queue().now();
   return result;

@@ -16,28 +16,42 @@
 // delivery, so dropped messages cost nothing and retransmitted duplicates
 // cost full price — the replayed traffic of a faulty run prices the
 // protocol's retry overhead.
+//
+// The message path allocates nothing per message (DESIGN.md §17): payloads
+// are a closed variant, in-flight messages live in a chunked slab, and the
+// delivery event captures only the slab index. The drep_des_* counters are
+// published once per run() from TrafficStats.
 
-#include <any>
 #include <cstddef>
+#include <cstdint>
+#include <memory>
 #include <optional>
+#include <variant>
 #include <vector>
 
 #include "net/topology.hpp"
+#include "sim/envelope.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/fault_plan.hpp"
+#include "sim/replay_payloads.hpp"
 #include "util/rng.hpp"
 
 namespace drep::sim {
 
 using net::SiteId;
 
+/// Everything a DES message can carry: the control protocols' Envelope
+/// (whose own payload stays type-erased) and the replay protocol's structs.
+using Payload = std::variant<Envelope, ReadRequest, ReadResponse, WriteShip,
+                             WriteAck, UpdateBroadcast, UpdateAck,
+                             MigrationShip>;
+
 struct Message {
   SiteId from = 0;
   SiteId to = 0;
   /// Payload size in data units; 0 for control messages.
   double size_units = 0.0;
-  /// Protocol-specific payload; receivers std::any_cast what they expect.
-  std::any payload;
+  Payload payload;
 };
 
 /// A site-resident protocol endpoint.
@@ -80,10 +94,15 @@ class DesNetwork {
   /// `latency_per_cost` converts a per-unit cost into a delivery delay.
   explicit DesNetwork(const net::CostMatrix& costs,
                       double latency_per_cost = 1.0);
+  DesNetwork(const DesNetwork&) = delete;
+  DesNetwork& operator=(const DesNetwork&) = delete;
+  ~DesNetwork();
 
   [[nodiscard]] std::size_t sites() const noexcept { return nodes_.size(); }
   [[nodiscard]] EventQueue& queue() noexcept { return queue_; }
   [[nodiscard]] const TrafficStats& stats() const noexcept { return stats_; }
+  /// Messages sent and not yet delivered or dropped.
+  [[nodiscard]] std::size_t in_flight() const noexcept { return in_flight_; }
 
   /// Attaches the fault plan (validated). Crash/recover notifications are
   /// scheduled for every window edge, so call before run(). Passing a plan
@@ -112,20 +131,52 @@ class DesNetwork {
   /// Sends a message; delivery is scheduled after
   /// latency_per_cost × C(from,to) (immediate for from == to). Traffic is
   /// charged at delivery. Throws std::logic_error when the destination has
-  /// no attached node at delivery time.
-  void send(SiteId from, SiteId to, double size_units, std::any payload);
+  /// no attached node at delivery time; the message is gone by then, so the
+  /// network stays usable.
+  void send(SiteId from, SiteId to, double size_units, Payload payload);
 
-  /// Runs the simulation until no events remain.
+  /// Runs the simulation until no events remain, then adds this run's
+  /// TrafficStats deltas to the drep_des_* counters (also when a handler
+  /// throws).
   void run();
 
  private:
+  using Index = std::uint32_t;
+  static constexpr Index kNone = ~Index{0};
+  static constexpr unsigned kChunkBits = 12;
+  static constexpr Index kChunkSlots = Index{1} << kChunkBits;
+
+  /// An in-flight message, or the free-list link of an empty slot.
+  union Slot {
+    Slot() noexcept {}
+    ~Slot() {}
+    Message message;
+    Index next;
+  };
+
+  [[nodiscard]] Slot& slot_at(Index index) noexcept {
+    return chunks_[index >> kChunkBits][index & (kChunkSlots - 1)];
+  }
+  Index new_slot(SiteId from, SiteId to, double size_units, Payload&& payload);
+  void free_slot(Index index) noexcept;
+  void deliver(Index index);
+  void publish_counters();
+
   const net::CostMatrix* costs_;
   double latency_per_cost_;
   EventQueue queue_;
   std::vector<Node*> nodes_;
   TrafficStats stats_;
+  /// stats_ as of the last publish_counters().
+  TrafficStats published_;
   std::optional<FaultPlan> faults_;
   util::Rng fault_rng_;
+  /// In-flight message slab in fixed chunks: a message never moves, and
+  /// growing the slab never holds two copies of it.
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  Index slot_count_ = 0;
+  Index free_slot_ = kNone;
+  std::size_t in_flight_ = 0;
 };
 
 }  // namespace drep::sim

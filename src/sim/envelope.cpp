@@ -1,6 +1,9 @@
 #include "sim/envelope.hpp"
 
 #include <string>
+#include <variant>
+
+#include "sim/des.hpp"
 
 namespace drep::sim {
 
@@ -60,7 +63,7 @@ std::string_view kind_name(MessageKind kind) noexcept {
 }
 
 const Envelope& open(const Message& message) {
-  const Envelope* envelope = std::any_cast<Envelope>(&message.payload);
+  const Envelope* envelope = std::get_if<Envelope>(&message.payload);
   if (envelope == nullptr)
     throw std::logic_error("Envelope: unknown payload (not an Envelope)");
   if (envelope->version != kEnvelopeVersion) {

@@ -12,6 +12,12 @@
 //   sender    originating site
 //   payload   the protocol-specific struct, still a std::any
 //
+// DesNetwork carries an Envelope inline as one alternative of the closed
+// sim::Payload variant (des.hpp); only its inner payload is type-erased.
+// These protocols send a few messages per round, so that std::any is off
+// the hot path; the high-volume replay protocol has typed alternatives of
+// its own (replay_payloads.hpp).
+//
 // open() is the single entry point on the receive side: it validates the
 // version and the kind, so the DES fault machinery (drops, duplicates from
 // retransmission, crash-delayed deliveries) meets the same rejection rules
@@ -25,9 +31,12 @@
 #include <string_view>
 #include <utility>
 
-#include "sim/des.hpp"
+#include "net/topology.hpp"
 
 namespace drep::sim {
+
+using net::SiteId;
+struct Message;
 
 inline constexpr std::uint16_t kEnvelopeVersion = 1;
 
@@ -69,28 +78,31 @@ enum class MessageKind : std::uint16_t {
 /// "unknown" for unlisted tags.
 [[nodiscard]] std::string_view kind_name(MessageKind kind) noexcept;
 
+/// Fields are ordered so the struct packs into 32 bytes: it sits inline in
+/// every DES message's payload variant.
 struct Envelope {
   std::uint16_t version = kEnvelopeVersion;
   MessageKind kind{};
+  SiteId sender = 0;
   /// Per-sender sequence id; retransmissions re-send the same value so
   /// receivers can dedup. 0 = unsequenced (fire-and-forget control).
   std::uint64_t seq = 0;
-  SiteId sender = 0;
   std::any payload;
 };
 
 /// Wraps a payload for send(): DesNetwork carries the Envelope as the
-/// message's std::any payload.
+/// message's payload.
 template <typename Payload>
 [[nodiscard]] Envelope seal(MessageKind kind, SiteId sender, std::uint64_t seq,
                             Payload payload) {
-  return Envelope{kEnvelopeVersion, kind, seq, sender, std::move(payload)};
+  return Envelope{kEnvelopeVersion, kind, sender, seq, std::move(payload)};
 }
 
-/// The uniform receive-side gate: any_casts the message payload to an
-/// Envelope and validates it. Throws std::logic_error when the payload is
-/// not an Envelope ("unknown payload"), the version is unsupported, or the
-/// kind is not a registered tag — the shared unknown-type rejection rule.
+/// The uniform receive-side gate: takes the Envelope alternative of the
+/// message payload and validates it. Throws std::logic_error when the
+/// payload is not an Envelope ("unknown payload"), the version is
+/// unsupported, or the kind is not a registered tag — the shared
+/// unknown-type rejection rule.
 [[nodiscard]] const Envelope& open(const Message& message);
 
 /// Typed payload access after the kind switch; throws std::logic_error when

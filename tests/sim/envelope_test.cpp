@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "audit/invariants.hpp"
+#include "sim/des.hpp"
 #include "sim/envelope.hpp"
 
 namespace drep::sim {
@@ -44,11 +45,11 @@ TEST(Envelope, RoundTripPreservesHeaderAndPayload) {
   EXPECT_EQ(back.bytes, payload.bytes);
 }
 
-// A payload that is not an Envelope at all is the legacy ad-hoc framing:
-// the shared gate rejects it with the "unknown payload" diagnostic.
+// A payload that is not an Envelope (a replay protocol struct) is rejected
+// by the shared gate with the "unknown payload" diagnostic.
 TEST(Envelope, NonEnvelopePayloadRejected) {
   Message message;
-  message.payload = std::string("raw bytes");
+  message.payload = ReadRequest{1, 2};
   try {
     (void)open(message);
     FAIL() << "open() accepted a non-Envelope payload";
